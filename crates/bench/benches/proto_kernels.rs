@@ -56,7 +56,8 @@ fn bench_codecs(c: &mut Criterion) {
         seq: 9,
         payload: Bytes::from(vec![0x5Au8; 1000]),
     }
-    .encode();
+    .encode()
+    .expect("1000 bytes fit one frame");
     g.throughput(Throughput::Bytes(frame_raw.len() as u64));
     g.bench_function("frame decode (CRC-16)", |b| {
         b.iter(|| Frame::decode(&frame_raw).map(|f| f.payload.len()));

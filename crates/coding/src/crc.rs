@@ -1,10 +1,10 @@
 //! CRC attachment per 3G TS 25.212 §4.2.1.
 //!
-//! The four UMTS generator polynomials. Besides transport-block protection,
-//! the payload reuses CRC-16/24 for FPGA-configuration validation (§3.2 of
-//! the paper: "at least one auto-test of the new configuration will be
-//! realized (e.g. CRC applied on the configuration)") and the read-back
-//! SEU detection of §4.3.
+//! The four UMTS generator polynomials: bit-serial over unpacked PHY bits,
+//! and the workspace's one byte CRC (MSB first, init 0), used by FPGA
+//! bitstreams and the §4.3 read-back scan, N1 frames and housekeeping.
+//! The byte CRC is slice-by-8 over compile-time tables with the L-bit
+//! register left-aligned in a `u32`, so one code path serves all lengths.
 
 /// The four 25.212 CRC lengths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -21,7 +21,7 @@ pub enum CrcKind {
 
 impl CrcKind {
     /// Number of parity bits.
-    pub fn len(self) -> usize {
+    pub const fn len(self) -> usize {
         match self {
             CrcKind::Crc8 => 8,
             CrcKind::Crc12 => 12,
@@ -36,7 +36,7 @@ impl CrcKind {
     }
 
     /// Generator polynomial without the leading term, LSB = D⁰ coefficient.
-    fn poly(self) -> u32 {
+    const fn poly(self) -> u32 {
         match self {
             CrcKind::Crc8 => 0b1001_1011,
             CrcKind::Crc12 => 0b1000_0000_1111,
@@ -46,7 +46,40 @@ impl CrcKind {
     }
 }
 
-/// Bit-serial CRC engine over 0/1 bit slices.
+/// Slice-by-8 tables over a left-aligned register: `t[k][b]` is the
+/// register after shifting byte `b` into zero, then `k` zero bytes.
+const fn slice8_tables(kind: CrcKind) -> [[u32; 256]; 8] {
+    let poly = kind.poly() << (32 - kind.len());
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 8 * 256 {
+        let (k, b) = (i / 256, i % 256);
+        let mut reg = if k == 0 {
+            (b as u32) << 24
+        } else {
+            t[k - 1][b]
+        };
+        let mut bit = 0;
+        while bit < 8 {
+            reg = (reg << 1) ^ if reg & 0x8000_0000 != 0 { poly } else { 0 };
+            bit += 1;
+        }
+        t[k][b] = reg;
+        i += 1;
+    }
+    t
+}
+
+/// The byte engine's tables, indexed by `CrcKind as usize`.
+static TABLES: [[[u32; 256]; 8]; 4] = [
+    slice8_tables(CrcKind::Crc8),
+    slice8_tables(CrcKind::Crc12),
+    slice8_tables(CrcKind::Crc16),
+    slice8_tables(CrcKind::Crc24),
+];
+
+/// CRC engine for one 25.212 polynomial: bit-serial over 0/1 bit slices,
+/// table-driven over bytes.
 #[derive(Clone, Copy, Debug)]
 pub struct Crc {
     kind: CrcKind,
@@ -54,7 +87,7 @@ pub struct Crc {
 
 impl Crc {
     /// Creates an engine for the given polynomial.
-    pub fn new(kind: CrcKind) -> Self {
+    pub const fn new(kind: CrcKind) -> Self {
         Crc { kind }
     }
 
@@ -127,8 +160,47 @@ impl Crc {
     /// Computes the CRC over a byte slice (MSB-first bit order) — the form
     /// used on FPGA bitstream frames and protocol packets.
     pub fn compute_bytes(&self, data: &[u8]) -> u32 {
-        let l = self.kind.len();
-        let poly = self.kind.poly();
+        self.compute_chunks([data])
+    }
+
+    /// Computes the CRC of the concatenation of `chunks` without joining
+    /// them: equal to [`Crc::compute_bytes`] over the joined bytes.
+    pub fn compute_chunks<'a>(&self, chunks: impl IntoIterator<Item = &'a [u8]>) -> u32 {
+        let t = &TABLES[self.kind as usize];
+        let mut reg = 0u32;
+        for data in chunks {
+            let mut words = data.chunks_exact(8);
+            for w in &mut words {
+                let x = u64::from_be_bytes(w.try_into().expect("8-byte chunk"));
+                let x = x ^ (u64::from(reg) << 32);
+                reg = (0..8).fold(0, |r, k| r ^ t[k][(x >> (8 * k)) as usize & 0xFF]);
+            }
+            for &byte in words.remainder() {
+                reg = (reg << 8) ^ t[0][((reg >> 24) as u8 ^ byte) as usize];
+            }
+        }
+        reg >> (32 - self.kind.len())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const ALL: [CrcKind; 4] = [
+        CrcKind::Crc8,
+        CrcKind::Crc12,
+        CrcKind::Crc16,
+        CrcKind::Crc24,
+    ];
+
+    /// The 25.212 byte CRC computed bit-serially, one shift and one
+    /// conditional XOR per bit: the definition the table-driven engine
+    /// must reproduce.
+    fn bit_serial_oracle(kind: CrcKind, data: &[u8]) -> u32 {
+        let l = kind.len();
+        let poly = kind.poly();
         let mut reg: u32 = 0;
         for &byte in data {
             for i in (0..8).rev() {
@@ -143,11 +215,65 @@ impl Crc {
         }
         reg
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn xorshift_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn engine_matches_oracle_on_every_byte_and_every_short_length() {
+        for kind in ALL {
+            let crc = Crc::new(kind);
+            for b in 0..=255u8 {
+                assert_eq!(crc.compute_bytes(&[b]), bit_serial_oracle(kind, &[b]));
+            }
+            for len in 0..=64usize {
+                for data in [
+                    vec![0u8; len],
+                    vec![0xFF; len],
+                    xorshift_bytes(len as u64, len),
+                ] {
+                    assert_eq!(
+                        crc.compute_bytes(&data),
+                        bit_serial_oracle(kind, &data),
+                        "{kind:?} at length {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn engine_matches_oracle_up_to_4k_whole_and_split(
+            data in proptest::collection::vec(any::<u8>(), 0..4097),
+            cut in 0usize..4097,
+        ) {
+            let cut = cut.min(data.len());
+            for kind in ALL {
+                let crc = Crc::new(kind);
+                let want = bit_serial_oracle(kind, &data);
+                prop_assert_eq!(crc.compute_bytes(&data), want);
+                prop_assert_eq!(crc.compute_chunks([&data[..cut], &data[cut..]]), want);
+            }
+        }
+    }
+
+    #[test]
+    fn xmodem_check_value() {
+        // CRC-16/XMODEM check value: poly 0x1021, init 0, MSB first.
+        assert_eq!(Crc::new(CrcKind::Crc16).compute_bytes(b"123456789"), 0x31C3);
+    }
 
     #[test]
     fn attach_check_roundtrip_all_kinds() {

@@ -6,8 +6,8 @@
 //! required quality of service". This crate implements that whole suite:
 //!
 //! * CRC attachment with the four 25.212 generator polynomials
-//!   (CRC-8/12/16/24) — also reused by the FPGA configuration validation
-//!   service of §3.2;
+//!   (CRC-8/12/16/24) — also the workspace's one byte CRC, used by FPGA
+//!   bitstreams and read-back, N1 frames and housekeeping;
 //! * the K=9 convolutional codes at rates 1/2 and 1/3 with a soft-decision
 //!   Viterbi decoder (256 states, block decoding with tail termination);
 //! * the UMTS turbo code: a parallel concatenation of two 8-state RSC

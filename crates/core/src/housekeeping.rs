@@ -10,9 +10,9 @@
 //! "HK" magic (2) | payload length (4, BE) | JSON-lines payload | CRC-24 (3, BE)
 //! ```
 //!
-//! The CRC-24 is the same polynomial the reconfiguration service uses to
-//! attest a loaded bitstream ([`gsp_coding::CrcKind::Crc24`]). A frame
-//! that fails any envelope check — magic, length, CRC, or a malformed
+//! The CRC-24 is the same engine and polynomial the reconfiguration
+//! service uses to attest a loaded bitstream
+//! ([`gsp_coding::CrcKind::Crc24`]). A frame that fails any envelope check — magic, length, CRC, or a malformed
 //! payload line — is rejected whole, like any other corrupted TM frame:
 //! the NCC keeps its previous picture rather than ingesting half of one.
 
@@ -81,6 +81,15 @@ mod tests {
         let frame = encode_frame(&snap);
         let back = decode_frame(&frame).expect("clean frame decodes");
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn crc_is_pinned_to_its_wire_value() {
+        // Captured from the bit-serial CRC the table-driven engine
+        // replaced.
+        let frame = encode_frame(&sample_snapshot());
+        assert_eq!(frame.len(), 330);
+        assert_eq!(frame[frame.len() - 3..], [0x56, 0x1d, 0xf1]);
     }
 
     #[test]

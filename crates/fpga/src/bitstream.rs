@@ -8,40 +8,16 @@
 //! the configuration)").
 
 use bytes::{BufMut, Bytes, BytesMut};
+use gsp_coding::{Crc, CrcKind};
 
-/// CRC-16 with the 25.212 polynomial (D¹⁶+D¹²+D⁵+1), MSB-first over bytes.
-pub fn crc16(data: &[u8]) -> u16 {
-    const POLY: u32 = 0x1021;
-    let mut reg: u32 = 0;
-    for &byte in data {
-        for i in (0..8).rev() {
-            let b = ((byte >> i) & 1) as u32;
-            let fb = ((reg >> 15) & 1) ^ b;
-            reg = (reg << 1) & 0xFFFF;
-            if fb == 1 {
-                reg ^= POLY;
-            }
-        }
-    }
-    reg as u16
-}
-
-/// CRC-24 with the 25.212 polynomial (D²⁴+D²³+D⁶+D⁵+D+1), MSB-first.
-pub fn crc24(data: &[u8]) -> u32 {
-    const POLY: u32 = 0x80_0063;
-    let mut reg: u32 = 0;
-    for &byte in data {
-        for i in (0..8).rev() {
-            let b = ((byte >> i) & 1) as u32;
-            let fb = ((reg >> 23) & 1) ^ b;
-            reg = (reg << 1) & 0xFF_FFFF;
-            if fb == 1 {
-                reg ^= POLY;
-            }
-        }
-    }
-    reg
-}
+/// Per-frame CRC: the read-back comparison baseline.
+pub const FRAME_CRC: Crc = Crc::new(CrcKind::Crc16);
+/// Global CRC over all frame payloads: the §3.2 validation telemetry.
+pub const GLOBAL_CRC: Crc = Crc::new(CrcKind::Crc24);
+/// Most frames the wire format admits.
+pub const MAX_FRAMES: usize = 1 << 16;
+/// Largest frame the wire format admits, in bytes.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// A configuration bitstream for a specific device geometry.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,7 +40,10 @@ impl Bitstream {
         assert!(!frames.is_empty());
         let len = frames[0].len();
         assert!(frames.iter().all(|f| f.len() == len), "ragged frames");
-        let frame_crcs = frames.iter().map(|f| crc16(f)).collect();
+        let frame_crcs = frames
+            .iter()
+            .map(|f| FRAME_CRC.compute_bytes(f) as u16)
+            .collect();
         let global_crc = Self::global_crc_of(&frames);
         Bitstream {
             design_id,
@@ -110,11 +89,7 @@ impl Bitstream {
 
     /// Recomputes the global CRC over frame payloads.
     pub fn global_crc_of(frames: &[Vec<u8>]) -> u32 {
-        let mut all = Vec::with_capacity(frames.len() * frames[0].len());
-        for f in frames {
-            all.extend_from_slice(f);
-        }
-        crc24(&all)
+        GLOBAL_CRC.compute_chunks(frames.iter().map(Vec::as_slice))
     }
 
     /// Total payload size in bytes.
@@ -125,13 +100,26 @@ impl Bitstream {
     /// Serialises to a wire format:
     /// `design_id u32 | name_len u16 | name | n_frames u32 | frame_bytes u32
     ///  | frames… | frame_crcs… | global_crc u32`.
-    pub fn serialise(&self) -> Bytes {
+    ///
+    /// Refuses a name too long for its length field and a geometry
+    /// [`Bitstream::deserialise`] would reject, so every image parses back.
+    pub fn try_serialise(&self) -> Result<Bytes, BitstreamError> {
+        let name_len =
+            u16::try_from(self.device_name.len()).map_err(|_| BitstreamError::NameTooLong)?;
+        let frame_bytes = self.frames.first().map_or(0, Vec::len);
+        if !(1..=MAX_FRAMES).contains(&self.frames.len())
+            || !(1..=MAX_FRAME_BYTES).contains(&frame_bytes)
+            || self.frames.iter().any(|f| f.len() != frame_bytes)
+            || self.frame_crcs.len() != self.frames.len()
+        {
+            return Err(BitstreamError::BadGeometry);
+        }
         let mut buf = BytesMut::with_capacity(self.byte_len() + 64);
         buf.put_u32(self.design_id);
-        buf.put_u16(self.device_name.len() as u16);
+        buf.put_u16(name_len);
         buf.put_slice(self.device_name.as_bytes());
         buf.put_u32(self.frames.len() as u32);
-        buf.put_u32(self.frames[0].len() as u32);
+        buf.put_u32(frame_bytes as u32);
         for f in &self.frames {
             buf.put_slice(f);
         }
@@ -139,7 +127,14 @@ impl Bitstream {
             buf.put_u16(c);
         }
         buf.put_u32(self.global_crc);
-        buf.freeze()
+        Ok(buf.freeze())
+    }
+
+    /// [`Bitstream::try_serialise`] of an image known to fit, as every
+    /// device's own image does; panics when it does not.
+    pub fn serialise(&self) -> Bytes {
+        self.try_serialise()
+            .unwrap_or_else(|e| panic!("bitstream does not fit its wire format: {e}"))
     }
 
     /// Parses the wire format; validates structure and the global CRC.
@@ -159,7 +154,7 @@ impl Bitstream {
         let name = String::from_utf8(take(&mut pos, name_len)?.to_vec()).map_err(|_| BadName)?;
         let n_frames = u32::from_be_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
         let frame_bytes = u32::from_be_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        if n_frames == 0 || frame_bytes == 0 || n_frames > 1 << 16 || frame_bytes > 1 << 20 {
+        if !(1..=MAX_FRAMES).contains(&n_frames) || !(1..=MAX_FRAME_BYTES).contains(&frame_bytes) {
             return Err(BadGeometry);
         }
         let mut frames = Vec::with_capacity(n_frames);
@@ -173,7 +168,7 @@ impl Bitstream {
         let global_crc = u32::from_be_bytes(take(&mut pos, 4)?.try_into().unwrap());
         // Integrity checks.
         for (i, f) in frames.iter().enumerate() {
-            if crc16(f) != frame_crcs[i] {
+            if FRAME_CRC.compute_bytes(f) != u32::from(frame_crcs[i]) {
                 return Err(FrameCrc { frame: i });
             }
         }
@@ -199,6 +194,8 @@ pub enum BitstreamError {
     BadName,
     /// Implausible frame geometry.
     BadGeometry,
+    /// Device name longer than its u16 length field can state.
+    NameTooLong,
     /// A frame failed its CRC-16.
     FrameCrc {
         /// Index of the corrupt frame.
@@ -214,6 +211,7 @@ impl std::fmt::Display for BitstreamError {
             BitstreamError::Truncated => write!(f, "bitstream truncated"),
             BitstreamError::BadName => write!(f, "device name not UTF-8"),
             BitstreamError::BadGeometry => write!(f, "implausible frame geometry"),
+            BitstreamError::NameTooLong => write!(f, "device name longer than 65535 bytes"),
             BitstreamError::FrameCrc { frame } => write!(f, "frame {frame} CRC mismatch"),
             BitstreamError::GlobalCrc => write!(f, "global CRC mismatch"),
         }
@@ -229,14 +227,83 @@ mod tests {
 
     #[test]
     fn crc_reference_behaviour() {
-        assert_eq!(crc16(&[]), 0);
-        assert_ne!(crc16(b"frame A"), crc16(b"frame B"));
-        assert_ne!(crc24(b"frame A"), crc24(b"frame B"));
+        assert_eq!(FRAME_CRC.compute_bytes(&[]), 0);
+        assert_ne!(
+            FRAME_CRC.compute_bytes(b"frame A"),
+            FRAME_CRC.compute_bytes(b"frame B")
+        );
+        assert_ne!(
+            GLOBAL_CRC.compute_bytes(b"frame A"),
+            GLOBAL_CRC.compute_bytes(b"frame B")
+        );
         // Single-bit flip always changes the CRC.
-        let base = crc16(b"configuration");
+        let base = FRAME_CRC.compute_bytes(b"configuration");
         let mut data = b"configuration".to_vec();
         data[3] ^= 0x10;
-        assert_ne!(crc16(&data), base);
+        assert_ne!(FRAME_CRC.compute_bytes(&data), base);
+    }
+
+    #[test]
+    fn crcs_are_pinned_to_their_wire_values() {
+        // Captured from the bit-serial implementation this engine
+        // replaced: the stored CRCs of existing images must not move.
+        let bs = Bitstream::synthesise(3, &FpgaDevice::small_100k(), 24);
+        assert_eq!(
+            bs.frame_crcs,
+            [
+                0x41e0, 0xa919, 0x2aef, 0xb2bd, 0x5982, 0x556e, 0xffd3, 0xb1c6, 0x147c, 0x7258,
+                0x4012, 0xba81, 0x928c, 0xda52, 0x8687, 0x83a8, 0x59f8, 0xc654, 0xcfde, 0xab0b,
+                0xf04e, 0xe78a, 0x555a, 0xf1b7,
+            ]
+        );
+        assert_eq!(bs.global_crc, 0xad5bb3);
+    }
+
+    #[test]
+    fn serialise_rejects_what_deserialise_would() {
+        let dev = FpgaDevice::small_100k();
+        let bs = Bitstream::synthesise(1, &dev, 4);
+        let long_name = Bitstream {
+            device_name: "n".repeat(usize::from(u16::MAX) + 1),
+            ..bs.clone()
+        };
+        assert_eq!(long_name.try_serialise(), Err(BitstreamError::NameTooLong));
+        let longest_name = Bitstream {
+            device_name: "n".repeat(usize::from(u16::MAX)),
+            ..bs.clone()
+        };
+        let wire = longest_name
+            .try_serialise()
+            .expect("a 65535-byte name fits");
+        assert_eq!(Bitstream::deserialise(&wire), Ok(longest_name));
+        let mut ragged = bs.clone();
+        ragged.frames[1].pop();
+        assert_eq!(ragged.try_serialise(), Err(BitstreamError::BadGeometry));
+        let mut crc_short = bs;
+        crc_short.frame_crcs.pop();
+        assert_eq!(crc_short.try_serialise(), Err(BitstreamError::BadGeometry));
+    }
+
+    #[test]
+    fn geometry_limits_hold_both_ways() {
+        for (n_frames, frame_bytes, fits) in [
+            (MAX_FRAMES, 1, true),
+            (1, MAX_FRAME_BYTES, true),
+            (MAX_FRAMES + 1, 1, false),
+            (1, MAX_FRAME_BYTES + 1, false),
+        ] {
+            let bs = Bitstream::new(9, "edge", vec![vec![0xA5; frame_bytes]; n_frames]);
+            match bs.try_serialise() {
+                Ok(wire) => {
+                    assert!(fits, "{n_frames}×{frame_bytes} serialised");
+                    assert_eq!(Bitstream::deserialise(&wire), Ok(bs));
+                }
+                Err(e) => {
+                    assert!(!fits, "{n_frames}×{frame_bytes} refused");
+                    assert_eq!(e, BitstreamError::BadGeometry);
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! operations so the payload's reconfiguration service can report the
 //! §3.1 service-interruption budget.
 
-use crate::bitstream::{crc16, Bitstream};
+use crate::bitstream::{Bitstream, FRAME_CRC};
 use crate::device::FpgaDevice;
 use rand::Rng;
 
@@ -186,7 +186,8 @@ impl FpgaFabric {
     /// memorising the golden file ("calculating a CRC for each cell and
     /// comparing CRC values which is less gate consuming").
     pub fn readback_frame_crc(&self, frame: usize) -> Result<u16, FabricError> {
-        self.readback_frame(frame).map(crc16)
+        self.readback_frame(frame)
+            .map(|f| FRAME_CRC.compute_bytes(f) as u16)
     }
 
     /// CRC-24 over the whole live configuration — the §3.2 validation
@@ -242,6 +243,9 @@ impl FpgaFabric {
     /// bitstream: the function still works iff no *essential* bit differs.
     pub fn function_correct(&self, golden: &Bitstream) -> bool {
         for (f, (live, gold)) in self.config.iter().zip(&golden.frames).enumerate() {
+            if live == gold {
+                continue;
+            }
             for (b, (lv, gv)) in live.iter().zip(gold.iter()).enumerate() {
                 let mut diff = lv ^ gv;
                 while diff != 0 {

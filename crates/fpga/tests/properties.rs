@@ -1,8 +1,8 @@
 //! Property tests: SEU detection/repair invariants that the payload's
 //! availability argument rests on.
 
-use gsp_fpga::bitstream::Bitstream;
-use gsp_fpga::device::FpgaDevice;
+use gsp_fpga::bitstream::{Bitstream, BitstreamError};
+use gsp_fpga::device::{ConfigPort, FpgaDevice};
 use gsp_fpga::fabric::FpgaFabric;
 use gsp_fpga::mitigation::{detect_and_repair, ReadbackStrategy, Scrubber, TmrVoter};
 use proptest::prelude::*;
@@ -110,25 +110,45 @@ proptest! {
         prop_assert_eq!(fab.global_crc(), bs.global_crc);
     }
 
+    /// Any geometry inside `deserialise`'s limits round-trips, and one
+    /// flipped bit anywhere in the CRC-covered region (frames, frame
+    /// CRCs, global CRC) is reported as a frame or global CRC failure.
     #[test]
     fn bitstream_wire_format_rejects_any_single_flip(
-        design in 0u32..1000,
-        frames in 1usize..8,
-        byte_pos_frac in 0.0f64..1.0,
-        bit in 0u8..8,
+        design in any::<u32>(),
+        name_len in 0usize..40,
+        n_frames in 1usize..12,
+        frame_bytes in 1usize..80,
+        fill in any::<u64>(),
+        flip in any::<u64>(),
     ) {
-        let dev = FpgaDevice::small_100k();
-        let bs = Bitstream::synthesise(design, &dev, frames);
-        let mut wire = bs.serialise().to_vec();
-        // Skip the (unprotected) geometry header — flip inside the
-        // CRC-covered region (frames + CRCs + global CRC).
-        let hdr = 4 + 2 + dev.name.len() + 4 + 4;
-        let pos = hdr + ((wire.len() - hdr - 1) as f64 * byte_pos_frac) as usize;
-        wire[pos] ^= 1 << bit;
+        let name: String = (0..name_len).map(|i| (b'a' + (i % 26) as u8) as char).collect();
+        let mut state = fill | 1;
+        let frames: Vec<Vec<u8>> = (0..n_frames)
+            .map(|_| {
+                (0..frame_bytes)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state as u8
+                    })
+                    .collect()
+            })
+            .collect();
+        let bs = Bitstream::new(design, &name, frames);
+        let wire = bs.try_serialise().expect("inside the wire format's limits");
+        prop_assert_eq!(Bitstream::deserialise(&wire), Ok(bs.clone()));
+        let hdr = 4 + 2 + name_len + 4 + 4;
+        let bit = (flip % ((wire.len() - hdr) as u64 * 8)) as usize;
+        let mut bad = wire.to_vec();
+        bad[hdr + bit / 8] ^= 1 << (bit % 8);
+        let got = Bitstream::deserialise(&bad);
         prop_assert!(
-            Bitstream::deserialise(&wire).is_err(),
-            "flip at {pos} (of {}) accepted",
-            wire.len()
+            matches!(got, Err(BitstreamError::FrameCrc { .. } | BitstreamError::GlobalCrc)),
+            "flip of bit {} past the header gave {:?}",
+            bit,
+            got
         );
     }
 
@@ -145,4 +165,78 @@ proptest! {
             prop_assert_eq!(result, b);
         }
     }
+}
+
+/// Small-scope exhaustion of the read-back scan: on a 3-frame × 4-byte
+/// device, after repeated clean scans, every single configuration bit is
+/// flipped in turn. Both detection strategies must name exactly that
+/// frame, the function check must agree with the essential-bit map, and
+/// detect-and-repair must restore the golden image.
+#[test]
+fn every_single_bit_flip_on_a_tiny_device_is_found_and_repaired() {
+    let dev = FpgaDevice {
+        name: "tiny",
+        clb_rows: 1,
+        clb_cols: 3,
+        frames: 3,
+        frame_bytes: 4,
+        gate_capacity: 1_000,
+        partial_reconfig: true,
+        port: ConfigPort::Jtag {
+            clock_hz: 10_000_000,
+        },
+        essential_fraction: 0.5,
+    };
+    let golden = Bitstream::synthesise(11, &dev, dev.frames);
+    let mut fab = FpgaFabric::new(dev.clone());
+    fab.configure_full(&golden).unwrap();
+    fab.power_on();
+    let strategies = [ReadbackStrategy::CrcCompare, ReadbackStrategy::FullCompare];
+    let assert_clean = |fab: &FpgaFabric| {
+        for s in strategies {
+            assert!(
+                s.detect(fab, &golden).unwrap().is_empty(),
+                "{s:?} on a clean fabric"
+            );
+        }
+        assert!(fab.function_correct(&golden));
+        assert_eq!(fab.global_crc(), golden.global_crc);
+    };
+    for _ in 0..3 {
+        assert_clean(&fab);
+    }
+    let mut kinds_seen = [false; 2];
+    for f in 0..dev.frames {
+        for b in 0..dev.frame_bytes {
+            for bit in 0..8u8 {
+                fab.inject_upset_at(f, b, bit);
+                for s in strategies {
+                    assert_eq!(
+                        s.detect(&fab, &golden).unwrap(),
+                        vec![f],
+                        "{s:?} at {f}/{b}/{bit}"
+                    );
+                }
+                let essential = fab.bit_is_essential(f, b, bit);
+                kinds_seen[essential as usize] = true;
+                assert_eq!(fab.function_correct(&golden), !essential, "{f}/{b}/{bit}");
+                for s in strategies {
+                    let mut repaired = fab.clone();
+                    assert_eq!(detect_and_repair(&mut repaired, &golden, s).unwrap().0, 1);
+                    assert!(
+                        repaired.diff_frames(&golden).is_empty(),
+                        "{s:?} at {f}/{b}/{bit}"
+                    );
+                    assert_clean(&repaired);
+                }
+                fab.inject_upset_at(f, b, bit);
+                assert_clean(&fab);
+            }
+        }
+    }
+    assert_eq!(
+        kinds_seen,
+        [true, true],
+        "both essential and non-essential bits flipped"
+    );
 }

@@ -16,26 +16,12 @@
 
 use crate::sim::Io;
 use bytes::{BufMut, Bytes, BytesMut};
+use gsp_coding::{Crc, CrcKind};
 use gsp_telemetry::{Counter, Registry};
 use std::collections::VecDeque;
 
-/// CRC-16 (CCITT polynomial 0x1021, MSB-first) over the frame body — the
-/// frame error control field of the TC/TM transfer frame format.
-pub fn crc16(data: &[u8]) -> u16 {
-    const POLY: u32 = 0x1021;
-    let mut reg: u32 = 0;
-    for &byte in data {
-        for i in (0..8).rev() {
-            let b = ((byte >> i) & 1) as u32;
-            let fb = ((reg >> 15) & 1) ^ b;
-            reg = (reg << 1) & 0xFFFF;
-            if fb == 1 {
-                reg ^= POLY;
-            }
-        }
-    }
-    reg as u16
-}
+/// Frame error control field: CRC-16 (polynomial 0x1021, MSB-first).
+const FECF: Crc = Crc::new(CrcKind::Crc16);
 
 /// Maximum payload bytes per transfer frame.
 pub const MAX_FRAME_PAYLOAD: usize = 1017;
@@ -68,7 +54,7 @@ fn encode_frame(vcid: u8, flags: u8, seq: u8, payload: &[u8]) -> Bytes {
     b.put_u8(seq);
     b.put_u16(payload.len() as u16);
     b.put_slice(payload);
-    let crc = crc16(&b);
+    let crc = FECF.compute_bytes(&b) as u16;
     b.put_u16(crc);
     b.freeze()
 }
@@ -87,9 +73,11 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Encodes this frame (header + payload + CRC-16).
-    pub fn encode(&self) -> Bytes {
-        encode_frame(self.vcid, self.flags, self.seq, &self.payload)
+    /// Encodes this frame (header + payload + CRC-16). `None` when the
+    /// payload exceeds [`MAX_FRAME_PAYLOAD`]: it is refused, not truncated.
+    pub fn encode(&self) -> Option<Bytes> {
+        (self.payload.len() <= MAX_FRAME_PAYLOAD)
+            .then(|| encode_frame(self.vcid, self.flags, self.seq, &self.payload))
     }
 
     /// Parses and CRC-checks a frame. `None` = malformed/corrupt.
@@ -99,11 +87,11 @@ impl Frame {
         }
         let body = &raw[..raw.len() - 2];
         let crc = u16::from_be_bytes([raw[raw.len() - 2], raw[raw.len() - 1]]);
-        if crc16(body) != crc {
+        if FECF.compute_bytes(body) != u32::from(crc) {
             return None;
         }
         let len = u16::from_be_bytes([raw[3], raw[4]]) as usize;
-        if raw.len() != FRAME_OVERHEAD + len {
+        if len > MAX_FRAME_PAYLOAD || raw.len() != FRAME_OVERHEAD + len {
             return None;
         }
         Some(Frame {
@@ -367,6 +355,40 @@ mod tests {
         assert_eq!(d.seq, 42);
         assert_eq!(&d.payload[..], b"hello payload");
         assert!(!d.is_ack());
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned_to_their_wire_values() {
+        // Captured from the bit-serial CRC this engine replaced.
+        let f = Frame {
+            vcid: 3,
+            flags: FLAG_FIRST | FLAG_LAST,
+            seq: 42,
+            payload: Bytes::from_static(b"hello payload"),
+        };
+        let mut want = vec![0x03, 0x03, 0x2a, 0x00, 0x0d];
+        want.extend_from_slice(b"hello payload");
+        want.extend_from_slice(&[0xbe, 0x16]);
+        assert_eq!(&f.encode().unwrap()[..], &want[..]);
+    }
+
+    #[test]
+    fn oversize_payloads_are_refused_both_ways() {
+        // 65 536 bytes used to wrap the u16 length field to 0.
+        let f = Frame {
+            vcid: 1,
+            flags: 0,
+            seq: 7,
+            payload: Bytes::from(vec![0x5A; 65_536]),
+        };
+        assert_eq!(f.encode(), None);
+        // A CRC-valid frame declaring 1 018 payload bytes.
+        let mut raw = vec![1, 0, 7];
+        raw.extend_from_slice(&((MAX_FRAME_PAYLOAD + 1) as u16).to_be_bytes());
+        raw.resize(5 + MAX_FRAME_PAYLOAD + 1, 0x5A);
+        let crc = FECF.compute_bytes(&raw) as u16;
+        raw.extend_from_slice(&crc.to_be_bytes());
+        assert_eq!(Frame::decode(&raw), None);
     }
 
     #[test]

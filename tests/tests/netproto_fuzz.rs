@@ -23,7 +23,7 @@
 use bytes::Bytes;
 use gsp_fdir::recovery::ReconfigUplink;
 use gsp_netproto::cops::{CopsPdp, CopsPep, PolicyDecision, COPS_PORT};
-use gsp_netproto::frames::Frame;
+use gsp_netproto::frames::{Frame, MAX_FRAME_PAYLOAD};
 use gsp_netproto::ip::{udp_packet, IpPacket, UdpDatagram, ADDR_NCC, ADDR_OBPC};
 use gsp_netproto::scpsfp::{ScpsFpReceiver, ScpsFpSender, SCPS_PORT};
 use gsp_netproto::tcp::Segment;
@@ -46,6 +46,30 @@ proptest! {
         let _ = UdpDatagram::decode(&raw);
     }
 
+    /// Encode then decode is the identity up to `MAX_FRAME_PAYLOAD`
+    /// bytes, and encode refuses anything longer. Every case checks both
+    /// sides of the limit (1 017 and 1 018 bytes) and one random length.
+    #[test]
+    fn frame_encode_decode_roundtrips_up_to_the_payload_limit(
+        vcid in any::<u8>(),
+        flags in any::<u8>(),
+        seq in any::<u8>(),
+        len in 0usize..2 * MAX_FRAME_PAYLOAD,
+        fill in any::<u8>(),
+    ) {
+        for len in [len, MAX_FRAME_PAYLOAD, MAX_FRAME_PAYLOAD + 1] {
+            let payload: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+            let frame = Frame { vcid, flags, seq, payload: Bytes::from(payload) };
+            match frame.encode() {
+                Some(raw) => {
+                    prop_assert!(len <= MAX_FRAME_PAYLOAD, "{} bytes encoded", len);
+                    prop_assert_eq!(Frame::decode(&raw), Some(frame));
+                }
+                None => prop_assert!(len > MAX_FRAME_PAYLOAD, "{} bytes refused", len),
+            }
+        }
+    }
+
     /// Every strict prefix of a valid frame must be rejected (the
     /// length field no longer matches), and decoding it must not read
     /// past the slice.
@@ -58,7 +82,7 @@ proptest! {
         cut in 0usize..4096,
     ) {
         let frame = Frame { vcid, flags, seq, payload: Bytes::from(payload) };
-        let encoded = frame.encode();
+        let encoded = frame.encode().unwrap();
         prop_assert_eq!(Frame::decode(&encoded).as_ref(), Some(&frame));
         let cut = cut % encoded.len();
         prop_assert_eq!(Frame::decode(&encoded[..cut]), None);
@@ -74,11 +98,11 @@ proptest! {
         bit in 0u8..8,
     ) {
         let frame = Frame { vcid: 3, flags: 0, seq: 9, payload: Bytes::from(payload) };
-        let mut bytes = frame.encode().to_vec();
+        let mut bytes = frame.encode().unwrap().to_vec();
         let pos = pos % bytes.len();
         bytes[pos] ^= 1 << bit;
         if let Some(f) = Frame::decode(&bytes) {
-            prop_assert_eq!(f.encode().len(), bytes.len());
+            prop_assert_eq!(f.encode().unwrap().len(), bytes.len());
         }
     }
 
