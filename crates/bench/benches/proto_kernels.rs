@@ -32,7 +32,7 @@ fn bench_simulated_transfers(c: &mut Criterion) {
 fn bench_codecs(c: &mut Criterion) {
     let mut g = c.benchmark_group("codecs");
     let payload = Bytes::from(vec![0xA5u8; 1000]);
-    let ip = udp_packet(1, 2, 1000, 69, payload.clone());
+    let ip = udp_packet(1, 2, 1000, 69, payload.clone()).expect("1000 bytes fit one packet");
     g.throughput(Throughput::Bytes(ip.len() as u64));
     g.bench_function("ip+udp decode", |b| {
         b.iter(|| IpPacket::decode(&ip).map(|p| p.payload.len()));
@@ -45,7 +45,7 @@ fn bench_codecs(c: &mut Criterion) {
         flags: 0b0010,
         payload,
     };
-    let raw = seg.encode();
+    let raw = seg.encode().expect("1000 bytes fit one segment");
     g.bench_function("tcp segment decode", |b| {
         b.iter(|| Segment::decode(&raw).map(|s| s.payload.len()));
     });

@@ -23,9 +23,14 @@ pub struct PolyphaseChannelizer {
     m: usize,
     /// Polyphase components: `poly[p]` holds prototype taps `h[p], h[p+M], …`.
     poly: Vec<Vec<f64>>,
-    /// Per-branch delay lines (newest first), each `taps_per_branch` long.
+    /// Per-branch delay lines, doubled: each is `2·taps_per_branch` long
+    /// and holds every sample twice, at `i` and `i + taps_per_branch`, so
+    /// `line[head..head + taps_per_branch]` is always the branch history
+    /// newest first — no shifting as samples arrive.
     delay: Vec<Vec<Cpx>>,
     taps_per_branch: usize,
+    /// Where the newest block's samples sit in every branch line.
+    head: usize,
     fft: Fft,
     /// Input sample counter within the current block (counts down M→0).
     fill: usize,
@@ -61,8 +66,9 @@ impl PolyphaseChannelizer {
         PolyphaseChannelizer {
             m,
             poly,
-            delay: vec![vec![Cpx::ZERO; taps_per_branch]; m],
+            delay: vec![vec![Cpx::ZERO; 2 * taps_per_branch]; m],
             taps_per_branch,
+            head: 0,
             fft: Fft::with_kernels(m, kernels),
             fill: m,
             scratch: vec![Cpx::ZERO; m],
@@ -84,6 +90,7 @@ impl PolyphaseChannelizer {
         for line in &mut self.delay {
             line.fill(Cpx::ZERO);
         }
+        self.head = 0;
         self.fill = self.m;
     }
 
@@ -92,16 +99,17 @@ impl PolyphaseChannelizer {
     /// vector is due.
     #[inline]
     fn advance(&mut self, x: Cpx) -> bool {
+        let t = self.taps_per_branch;
+        if self.fill == self.m {
+            // A new block: every branch's history window steps back one.
+            self.head = if self.head == 0 { t - 1 } else { self.head - 1 };
+        }
         // Commutator runs backwards through the branches: sample n of a block
         // enters branch (M-1-n).
         self.fill -= 1;
-        let branch = self.fill;
-        let line = &mut self.delay[branch];
-        // Shift delay line (small — taps_per_branch elements).
-        for i in (1..self.taps_per_branch).rev() {
-            line[i] = line[i - 1];
-        }
-        line[0] = x;
+        let line = &mut self.delay[self.fill];
+        line[self.head] = x;
+        line[self.head + t] = x;
         if self.fill > 0 {
             return false;
         }
@@ -112,10 +120,13 @@ impl PolyphaseChannelizer {
     /// Runs each polyphase branch and the FFT across branches, leaving the
     /// `M` channel samples in `self.scratch`.
     fn compute_block(&mut self) {
+        let window = self.head..self.head + self.taps_per_branch;
         for (b, line) in self.delay.iter().enumerate() {
-            // Per-branch MAC through the backend dot kernel (line is stored
+            // Per-branch MAC through the backend dot kernel (the window is
             // newest-first, taps are in matching polyphase order).
-            self.scratch[b] = self.kernels.dot_real(line, &self.poly[b], Cpx::ZERO);
+            self.scratch[b] =
+                self.kernels
+                    .dot_real(&line[window.clone()], &self.poly[b], Cpx::ZERO);
         }
         // The inverse FFT's 1/M normalisation combines with the ×M prototype
         // scaling to give unity channel gain.
@@ -281,6 +292,99 @@ mod tests {
             assert_eq!(ea, eb);
             if ea {
                 assert_eq!(fa, fb);
+            }
+        }
+    }
+
+    /// The channelizer's former delay line, shifting every branch history
+    /// one place per input sample — the oracle for the doubled line. It
+    /// borrows a real channelizer's prototype, FFT and kernel handle.
+    struct ShiftingChannelizer {
+        inner: PolyphaseChannelizer,
+        lines: Vec<Vec<Cpx>>,
+        fill: usize,
+    }
+
+    impl ShiftingChannelizer {
+        fn new(inner: PolyphaseChannelizer) -> Self {
+            let (m, t) = (inner.m, inner.taps_per_branch);
+            ShiftingChannelizer {
+                inner,
+                lines: vec![vec![Cpx::ZERO; t]; m],
+                fill: m,
+            }
+        }
+
+        fn reset(&mut self) {
+            for line in &mut self.lines {
+                line.fill(Cpx::ZERO);
+            }
+            self.fill = self.inner.m;
+        }
+
+        fn push(&mut self, x: Cpx, out: &mut Vec<Cpx>) {
+            self.fill -= 1;
+            let line = &mut self.lines[self.fill];
+            for i in (1..line.len()).rev() {
+                line[i] = line[i - 1];
+            }
+            line[0] = x;
+            if self.fill > 0 {
+                return;
+            }
+            self.fill = self.inner.m;
+            let c = &mut self.inner;
+            for (b, line) in self.lines.iter().enumerate() {
+                c.scratch[b] = c.kernels.dot_real(line, &c.poly[b], Cpx::ZERO);
+            }
+            c.fft.inverse(&mut c.scratch);
+            out.extend_from_slice(&c.scratch);
+        }
+    }
+
+    #[test]
+    fn doubled_delay_line_is_bitwise_the_shifting_one() {
+        use crate::kernels::{for_backend, simd_available, Backend};
+        use rand::{Rng, SeedableRng};
+        let mut backends = vec![Backend::Scalar];
+        if simd_available() {
+            backends.push(Backend::Simd);
+        }
+        for backend in backends {
+            for m in [2usize, 8, 16] {
+                let k = for_backend(backend);
+                let mut chan = PolyphaseChannelizer::with_kernels(m, 12, k);
+                let mut oracle =
+                    ShiftingChannelizer::new(PolyphaseChannelizer::with_kernels(m, 12, k));
+                let mut rng = rand::rngs::StdRng::seed_from_u64(m as u64);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let mut frame = vec![Cpx::ZERO; m];
+                // Odd-length process() calls, single push() calls and a
+                // mid-block reset, so the head wraps at every phase.
+                for round in 0..40 {
+                    let len = 2 * (round % 7) + 1 + m * (round % 3);
+                    let x: Vec<Cpx> = (0..len)
+                        .map(|_| Cpx::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                        .collect();
+                    if round % 2 == 0 {
+                        chan.process(&x, &mut got);
+                    } else {
+                        for &s in &x {
+                            if chan.push(s, &mut frame) {
+                                got.extend_from_slice(&frame);
+                            }
+                        }
+                    }
+                    for &s in &x {
+                        oracle.push(s, &mut want);
+                    }
+                    if round == 25 {
+                        chan.reset();
+                        oracle.reset();
+                    }
+                }
+                assert!(want.len() > 40 * m, "m {m}: only {} outputs", want.len());
+                assert!(got == want, "m {m} backend {backend:?} diverged");
             }
         }
     }

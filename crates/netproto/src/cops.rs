@@ -91,13 +91,16 @@ impl CopsPdp {
 
     fn push(&mut self, io: &mut Io) {
         let body = self.decision.encode();
-        io.send(udp_packet(
-            self.local,
-            self.remote,
-            COPS_PORT,
-            COPS_PORT,
-            msg(OP_DECISION, &body),
-        ));
+        io.send(
+            udp_packet(
+                self.local,
+                self.remote,
+                COPS_PORT,
+                COPS_PORT,
+                msg(OP_DECISION, &body),
+            )
+            .expect("15-byte decision message ≤ MAX_UDP_PACKET_PAYLOAD"),
+        );
         self.timer_gen += 1;
         io.set_timer(self.rto_ns, self.timer_gen);
     }
@@ -190,13 +193,16 @@ impl<F: FnMut(&PolicyDecision) -> bool> Agent for CopsPep<F> {
         let mut body = BytesMut::with_capacity(5);
         body.put_u32(dec.policy_id);
         body.put_u8(self.last_outcome as u8);
-        io.send(udp_packet(
-            self.local,
-            ip.src,
-            COPS_PORT,
-            COPS_PORT,
-            msg(OP_REPORT, &body),
-        ));
+        io.send(
+            udp_packet(
+                self.local,
+                ip.src,
+                COPS_PORT,
+                COPS_PORT,
+                msg(OP_REPORT, &body),
+            )
+            .expect("6-byte report message ≤ MAX_UDP_PACKET_PAYLOAD"),
+        );
     }
 
     fn on_timer(&mut self, _io: &mut Io, _id: u64) {}

@@ -65,9 +65,17 @@ pub struct IpPacket {
 /// IP header bytes: ver(1) proto(1) len(2) src(4) dst(4) checksum(2).
 pub const IP_HEADER: usize = 14;
 
+/// Largest transport payload an [`IpPacket`] can carry: its 16-bit length
+/// field counts the header too.
+pub const MAX_IP_PAYLOAD: usize = u16::MAX as usize - IP_HEADER;
+
 impl IpPacket {
-    /// Encodes the packet.
-    pub fn encode(&self) -> Bytes {
+    /// Encodes the packet. `None` when the payload exceeds
+    /// [`MAX_IP_PAYLOAD`]: it is refused, not truncated.
+    pub fn encode(&self) -> Option<Bytes> {
+        if self.payload.len() > MAX_IP_PAYLOAD {
+            return None;
+        }
         let mut b = BytesMut::with_capacity(IP_HEADER + self.payload.len());
         b.put_u8(4); // version
         b.put_u8(self.proto.code());
@@ -77,7 +85,7 @@ impl IpPacket {
         let ck = internet_checksum(&b);
         b.put_u16(ck);
         b.put_slice(&self.payload);
-        b.freeze()
+        Some(b.freeze())
     }
 
     /// Decodes and validates a packet.
@@ -132,15 +140,27 @@ pub struct UdpDatagram {
 /// UDP header: ports(4) len(2).
 pub const UDP_HEADER: usize = 6;
 
+/// Largest payload a [`UdpDatagram`] can carry: its 16-bit length field
+/// counts the header too.
+pub const MAX_UDP_PAYLOAD: usize = u16::MAX as usize - UDP_HEADER;
+
+/// Largest payload [`udp_packet`] can wrap: the datagram must also fit
+/// one [`IpPacket`].
+pub const MAX_UDP_PACKET_PAYLOAD: usize = MAX_IP_PAYLOAD - UDP_HEADER;
+
 impl UdpDatagram {
-    /// Encodes the datagram.
-    pub fn encode(&self) -> Bytes {
+    /// Encodes the datagram. `None` when the payload exceeds
+    /// [`MAX_UDP_PAYLOAD`]: it is refused, not truncated.
+    pub fn encode(&self) -> Option<Bytes> {
+        if self.payload.len() > MAX_UDP_PAYLOAD {
+            return None;
+        }
         let mut b = BytesMut::with_capacity(UDP_HEADER + self.payload.len());
         b.put_u16(self.src_port);
         b.put_u16(self.dst_port);
         b.put_u16((UDP_HEADER + self.payload.len()) as u16);
         b.put_slice(&self.payload);
-        b.freeze()
+        Some(b.freeze())
     }
 
     /// Decodes a datagram.
@@ -160,8 +180,15 @@ impl UdpDatagram {
     }
 }
 
-/// Convenience: wraps a UDP payload in UDP+IP.
-pub fn udp_packet(src: IpAddr, dst: IpAddr, sport: u16, dport: u16, payload: Bytes) -> Bytes {
+/// Convenience: wraps a UDP payload in UDP+IP. `None` when the payload
+/// exceeds [`MAX_UDP_PACKET_PAYLOAD`].
+pub fn udp_packet(
+    src: IpAddr,
+    dst: IpAddr,
+    sport: u16,
+    dport: u16,
+    payload: Bytes,
+) -> Option<Bytes> {
     IpPacket {
         src,
         dst,
@@ -171,7 +198,7 @@ pub fn udp_packet(src: IpAddr, dst: IpAddr, sport: u16, dport: u16, payload: Byt
             dst_port: dport,
             payload,
         }
-        .encode(),
+        .encode()?,
     }
     .encode()
 }
@@ -188,7 +215,7 @@ mod tests {
             proto: IpProto::Udp,
             payload: Bytes::from_static(b"payload data"),
         };
-        let raw = p.encode();
+        let raw = p.encode().unwrap();
         assert_eq!(IpPacket::decode(&raw), Some(p));
     }
 
@@ -200,7 +227,7 @@ mod tests {
             proto: IpProto::Tcp,
             payload: Bytes::from_static(b"x"),
         };
-        let mut raw = p.encode().to_vec();
+        let mut raw = p.encode().unwrap().to_vec();
         raw[5] ^= 0x01; // src byte
         assert!(IpPacket::decode(&raw).is_none());
     }
@@ -213,7 +240,7 @@ mod tests {
             proto: IpProto::Esp,
             payload: Bytes::from_static(b"abcdef"),
         };
-        let raw = p.encode();
+        let raw = p.encode().unwrap();
         assert!(IpPacket::decode(&raw[..raw.len() - 1]).is_none());
         let mut bad = raw.to_vec();
         bad[0] = 6;
@@ -227,7 +254,7 @@ mod tests {
             dst_port: 3069,
             payload: Bytes::from_static(b"RRQ bitstream.bin"),
         };
-        assert_eq!(UdpDatagram::decode(&d.encode()), Some(d));
+        assert_eq!(UdpDatagram::decode(&d.encode().unwrap()), Some(d));
     }
 
     #[test]
@@ -237,7 +264,7 @@ mod tests {
             dst_port: 2,
             payload: Bytes::from_static(b"abc"),
         };
-        let mut raw = d.encode().to_vec();
+        let mut raw = d.encode().unwrap().to_vec();
         raw.push(0); // extra byte
         assert!(UdpDatagram::decode(&raw).is_none());
     }
@@ -260,7 +287,8 @@ mod tests {
             1000,
             69,
             Bytes::from_static(b"hi"),
-        );
+        )
+        .unwrap();
         let ip = IpPacket::decode(&raw).unwrap();
         assert_eq!(ip.proto, IpProto::Udp);
         assert_eq!(ip.dst, ADDR_EQUIPMENT_BASE + 3);

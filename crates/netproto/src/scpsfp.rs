@@ -94,23 +94,29 @@ impl ScpsFpSender {
         }
         let start = idx as usize * SEGMENT;
         let end = (start + SEGMENT).min(self.data.len());
-        io.send(udp_packet(
-            self.local,
-            self.remote,
-            SCPS_PORT,
-            SCPS_PORT,
-            msg_data(idx, &self.data[start..end]),
-        ));
+        io.send(
+            udp_packet(
+                self.local,
+                self.remote,
+                SCPS_PORT,
+                SCPS_PORT,
+                msg_data(idx, &self.data[start..end]),
+            )
+            .expect("SEGMENT-byte data message ≤ MAX_UDP_PACKET_PAYLOAD"),
+        );
     }
 
     fn send_eof(&mut self, io: &mut Io) {
-        io.send(udp_packet(
-            self.local,
-            self.remote,
-            SCPS_PORT,
-            SCPS_PORT,
-            msg_eof(self.n_segments(), self.data.len() as u32),
-        ));
+        io.send(
+            udp_packet(
+                self.local,
+                self.remote,
+                SCPS_PORT,
+                SCPS_PORT,
+                msg_eof(self.n_segments(), self.data.len() as u32),
+            )
+            .expect("9-byte EOF message ≤ MAX_UDP_PACKET_PAYLOAD"),
+        );
         self.eof_timer_gen += 1;
         io.set_timer(self.rto_ns, self.eof_timer_gen);
     }
@@ -223,23 +229,23 @@ impl ScpsFpReceiver {
                 out.truncate(self.expected_size);
                 self.file = Some(out);
             }
-            io.send(udp_packet(
-                self.local,
-                peer,
-                SCPS_PORT,
-                SCPS_PORT,
-                Bytes::from_static(&[OP_FIN]),
-            ));
+            io.send(
+                udp_packet(
+                    self.local,
+                    peer,
+                    SCPS_PORT,
+                    SCPS_PORT,
+                    Bytes::from_static(&[OP_FIN]),
+                )
+                .expect("1-byte FIN message ≤ MAX_UDP_PACKET_PAYLOAD"),
+            );
         } else {
             // NAK at most what fits one message; the next EOF reprompts.
             let chunk: Vec<u32> = missing.into_iter().take(1000).collect();
-            io.send(udp_packet(
-                self.local,
-                peer,
-                SCPS_PORT,
-                SCPS_PORT,
-                msg_nak(&chunk),
-            ));
+            io.send(
+                udp_packet(self.local, peer, SCPS_PORT, SCPS_PORT, msg_nak(&chunk))
+                    .expect("1000-index NAK message ≤ MAX_UDP_PACKET_PAYLOAD"),
+            );
         }
     }
 }

@@ -8,7 +8,7 @@
 //! mechanism…)"), cumulative ACKs, go-back-N retransmission on timeout,
 //! and a simplified FIN close.
 
-use crate::ip::{IpAddr, IpPacket, IpProto};
+use crate::ip::{IpAddr, IpPacket, IpProto, MAX_IP_PAYLOAD};
 use crate::sim::Io;
 use crate::wire;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -21,6 +21,13 @@ const FLAG_FIN: u8 = 0b0100;
 
 /// TCP-lite header bytes: ports(4) seq(4) ack(4) flags(1) len(2).
 pub const TCP_HEADER: usize = 15;
+
+/// Largest payload a [`Segment`]'s 16-bit length field can describe.
+pub const MAX_SEGMENT_PAYLOAD: usize = u16::MAX as usize;
+
+/// Largest segment payload a connection sends: the segment must also fit
+/// one [`IpPacket`]. [`TcpConnection::mss`] is capped at this.
+pub const MAX_MSS: usize = MAX_IP_PAYLOAD - TCP_HEADER;
 
 /// A decoded segment.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,8 +47,12 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Encodes the segment.
-    pub fn encode(&self) -> Bytes {
+    /// Encodes the segment. `None` when the payload exceeds
+    /// [`MAX_SEGMENT_PAYLOAD`]: it is refused, not truncated.
+    pub fn encode(&self) -> Option<Bytes> {
+        if self.payload.len() > MAX_SEGMENT_PAYLOAD {
+            return None;
+        }
         let mut b = BytesMut::with_capacity(TCP_HEADER + self.payload.len());
         b.put_u16(self.src_port);
         b.put_u16(self.dst_port);
@@ -50,7 +61,7 @@ impl Segment {
         b.put_u8(self.flags);
         b.put_u16(self.payload.len() as u16);
         b.put_slice(&self.payload);
-        b.freeze()
+        Some(b.freeze())
     }
 
     /// Decodes a segment.
@@ -97,7 +108,7 @@ pub struct TcpConnection {
     local_port: u16,
     remote_port: u16,
     state: TcpState,
-    /// Maximum segment payload.
+    /// Maximum segment payload (capped at [`MAX_MSS`] when sending).
     pub mss: usize,
     /// Maximum send window in bytes (RFC 2488: size ≥ BDP for GEO).
     pub max_window: usize,
@@ -228,14 +239,18 @@ impl TcpConnection {
         self.snd_buf.is_empty()
     }
 
+    /// Sends one segment; its payload is at most [`MAX_MSS`] bytes.
     fn emit(&self, io: &mut Io, seg: Segment) {
         let pkt = IpPacket {
             src: self.local_addr,
             dst: self.remote_addr,
             proto: IpProto::Tcp,
-            payload: seg.encode(),
+            payload: seg.encode().expect("segment payload ≤ MAX_MSS"),
         };
-        io.send(pkt.encode());
+        io.send(
+            pkt.encode()
+                .expect("segment of ≤ MAX_MSS fits MAX_IP_PAYLOAD"),
+        );
     }
 
     fn arm_timer(&mut self, io: &mut Io) {
@@ -301,7 +316,11 @@ impl TcpConnection {
         let mut offset = in_flight; // index into snd_buf of first unsent byte
         let mut sent_any = false;
         while budget > 0 && offset < self.snd_buf.len() {
-            let n = self.mss.min(budget).min(self.snd_buf.len() - offset);
+            let n = self
+                .mss
+                .min(MAX_MSS)
+                .min(budget)
+                .min(self.snd_buf.len() - offset);
             let chunk: Vec<u8> = self.snd_buf.iter().skip(offset).take(n).copied().collect();
             let seg = Segment {
                 src_port: self.local_port,
@@ -580,6 +599,27 @@ mod tests {
     }
 
     #[test]
+    fn oversized_mss_is_capped_to_what_one_packet_carries() {
+        // An MSS past MAX_MSS must not produce segments whose lengths the
+        // IP encoder would have to refuse: sends are capped at MAX_MSS.
+        let data: Vec<u8> = (0..3 * MAX_MSS).map(|i| (i % 251) as u8).collect();
+        let mut conn = TcpConnection::client((1, 5000), (2, 80), 1 << 20, 1_000_000_000, 7);
+        conn.mss = 4 * MAX_MSS;
+        let mut client = Client {
+            conn,
+            data: data.clone(),
+            pushed: false,
+        };
+        let mut server = Server {
+            conn: TcpConnection::listener((2, 80), 1 << 20, 1_000_000_000, 7),
+            received: vec![],
+        };
+        let stats =
+            Sim::new(LinkConfig::clean_fast(), 5).run(&mut client, &mut server, 60_000_000_000);
+        assert!(stats.completed && server.received == data);
+    }
+
+    #[test]
     fn transfer_over_geo_link() {
         let (ok, _, t, _) = run_transfer(100_000, 64 * 1024, LinkConfig::geo_default(), 2);
         assert!(ok);
@@ -622,7 +662,7 @@ mod tests {
             flags: FLAG_ACK,
             payload: Bytes::from_static(b"stream bytes"),
         };
-        assert_eq!(Segment::decode(&s.encode()), Some(s));
+        assert_eq!(Segment::decode(&s.encode().unwrap()), Some(s));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! over the GEO link.
 
 use crate::backoff::BackoffPolicy;
-use crate::ip::{udp_packet, IpAddr, IpPacket, IpProto, UdpDatagram};
+use crate::ip::{udp_packet, IpAddr, IpPacket, IpProto, UdpDatagram, MAX_UDP_PACKET_PAYLOAD};
 use crate::sim::{Agent, Io};
 use bytes::{BufMut, Bytes, BytesMut};
 use gsp_telemetry::{Counter, Registry};
@@ -24,6 +24,11 @@ pub const TFTP_PORT: u16 = 69;
 /// blocks plus a final short one.
 pub const MAX_FILE_BYTES: usize = BLOCK * u16::MAX as usize - 1;
 
+/// Longest filename a write request carries: the request is the filename
+/// plus 9 bytes (opcode, mode `octet` and two terminators) and must fit
+/// one UDP packet.
+pub const MAX_WRQ_FILENAME: usize = MAX_UDP_PACKET_PAYLOAD - 9;
+
 /// Errors from constructing a TFTP endpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TftpError {
@@ -35,6 +40,14 @@ pub enum TftpError {
         /// Largest representable size ([`MAX_FILE_BYTES`]).
         max: usize,
     },
+    /// The filename is too long for the write request to fit one UDP
+    /// packet.
+    FilenameTooLong {
+        /// Filename length in bytes.
+        bytes: usize,
+        /// Longest accepted filename ([`MAX_WRQ_FILENAME`]).
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for TftpError {
@@ -44,6 +57,11 @@ impl std::fmt::Display for TftpError {
                 f,
                 "file of {bytes} bytes exceeds the TFTP u16 block-number \
                  limit ({max} bytes)"
+            ),
+            TftpError::FilenameTooLong { bytes, max } => write!(
+                f,
+                "filename of {bytes} bytes does not fit one write request \
+                 ({max} bytes at most)"
             ),
         }
     }
@@ -125,6 +143,12 @@ impl TftpWriter {
                 max: MAX_FILE_BYTES,
             });
         }
+        if filename.len() > MAX_WRQ_FILENAME {
+            return Err(TftpError::FilenameTooLong {
+                bytes: filename.len(),
+                max: MAX_WRQ_FILENAME,
+            });
+        }
         let stream = rand::splitmix64_mix(
             ((local as u64) << 32) ^ remote as u64 ^ (data.len() as u64).rotate_left(17),
         );
@@ -193,13 +217,11 @@ impl TftpWriter {
 
     fn transmit(&mut self, io: &mut Io) {
         let payload = self.current_payload();
-        io.send(udp_packet(
-            self.local,
-            self.remote,
-            3069,
-            TFTP_PORT,
-            payload,
-        ));
+        io.send(
+            udp_packet(self.local, self.remote, 3069, TFTP_PORT, payload).expect(
+                "WRQ ≤ MAX_WRQ_FILENAME + 9 bytes and DATA ≤ BLOCK + 4 bytes fit one UDP packet",
+            ),
+        );
         self.timer_gen += 1;
         let delay = self
             .backoff
@@ -326,13 +348,10 @@ impl Agent for TftpServer {
                     self.expected_block = 1;
                 }
                 // (Re-)acknowledge the request.
-                io.send(udp_packet(
-                    self.local,
-                    ip.src,
-                    TFTP_PORT,
-                    udp.src_port,
-                    msg_ack(0),
-                ));
+                io.send(
+                    udp_packet(self.local, ip.src, TFTP_PORT, udp.src_port, msg_ack(0))
+                        .expect("4-byte ACK ≤ MAX_UDP_PACKET_PAYLOAD"),
+                );
             }
             OP_DATA => {
                 if udp.payload.len() < 4 {
@@ -348,17 +367,20 @@ impl Agent for TftpServer {
                     }
                 }
                 // ACK the highest in-order block (covers duplicates).
-                io.send(udp_packet(
-                    self.local,
-                    ip.src,
-                    TFTP_PORT,
-                    udp.src_port,
-                    msg_ack(
-                        self.expected_block
-                            .wrapping_sub(1)
-                            .max(if blk < self.expected_block { blk } else { 0 }),
-                    ),
-                ));
+                io.send(
+                    udp_packet(
+                        self.local,
+                        ip.src,
+                        TFTP_PORT,
+                        udp.src_port,
+                        msg_ack(
+                            self.expected_block
+                                .wrapping_sub(1)
+                                .max(if blk < self.expected_block { blk } else { 0 }),
+                        ),
+                    )
+                    .expect("4-byte ACK ≤ MAX_UDP_PACKET_PAYLOAD"),
+                );
             }
             _ => {}
         }
@@ -411,7 +433,7 @@ mod tests {
 
     /// An ACK frame as the server at address 2 would send it.
     fn ack_frame(block: u16) -> Bytes {
-        udp_packet(2, 1, TFTP_PORT, 3069, msg_ack(block))
+        udp_packet(2, 1, TFTP_PORT, 3069, msg_ack(block)).unwrap()
     }
 
     fn run(size: usize, link: LinkConfig, seed: u64) -> (bool, Vec<u8>, u64, u64) {
@@ -672,6 +694,37 @@ mod tests {
         )
         .unwrap();
         assert_eq!(w.total_blocks(), u16::MAX);
+    }
+
+    #[test]
+    fn overlong_filename_errors_instead_of_panicking() {
+        let err = TftpWriter::new(
+            1,
+            2,
+            &"n".repeat(MAX_WRQ_FILENAME + 1),
+            vec![1, 2, 3],
+            BackoffPolicy::fixed(1),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            TftpError::FilenameTooLong {
+                bytes: MAX_WRQ_FILENAME + 1,
+                max: MAX_WRQ_FILENAME
+            }
+        );
+
+        // The longest accepted filename still makes a write request that
+        // fits one packet and decodes.
+        let name = "n".repeat(MAX_WRQ_FILENAME);
+        let mut w = TftpWriter::new(1, 2, &name, vec![1, 2, 3], BackoffPolicy::fixed(1)).unwrap();
+        let mut io = mk_io();
+        w.start(&mut io);
+        let s = sends(&io);
+        assert_eq!(s.len(), 1);
+        let ip = IpPacket::decode(&s[0]).expect("WRQ packet decodes");
+        let udp = UdpDatagram::decode(&ip.payload).expect("WRQ datagram decodes");
+        assert_eq!(&udp.payload[2..2 + name.len()], name.as_bytes());
     }
 
     #[test]

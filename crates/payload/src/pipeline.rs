@@ -7,16 +7,16 @@
 //! [`PipelineEngine`] instead:
 //!
 //! * each active carrier owns a **Tx lane** (encoder, modulator,
-//!   upconversion resampler with NCO) and an **Rx lane** (burst
+//!   ×M upconverter onto its carrier) and an **Rx lane** (burst
 //!   demodulator, Viterbi decoder, CRC) that persist across frames;
 //! * with `workers > 1` the lanes live inside long-lived pool threads
 //!   (spawned once in [`PipelineEngine::with_workers`], joined on drop)
 //!   fed over bounded SPSC job queues — not re-spawned per frame behind a
 //!   join barrier, which is what kept the old sweep flat;
-//! * both halves are parallel: Tx burst synthesis *and* the per-carrier
-//!   receive chain run on the pool, with only bit drawing, carrier
-//!   summation, ADC noise, the polyphase DEMUX and switch ingress left on
-//!   the engine thread;
+//! * both halves are parallel: Tx burst synthesis, the frame's ADC noise
+//!   *and* the per-carrier receive chain run on the pool, with only bit
+//!   drawing, carrier summation, the polyphase DEMUX and switch ingress
+//!   left on the engine thread;
 //! * [`PipelineEngine::run_frames`] pipelines across frames: frame
 //!   `i+1`'s Tx synthesis is dispatched *before* frame `i`'s receive
 //!   jobs, so workers always have queued work while the engine thread
@@ -31,13 +31,14 @@
 //! count, including the serial `workers == 1` path, and whether frames
 //! are run one at a time or as a pipelined batch:
 //!
-//! * everything that consumes randomness — information bits and ADC
-//!   noise — runs serially on one per-frame `StdRng` on the engine
-//!   thread, in carrier order;
+//! * everything that consumes randomness runs serially on one per-frame
+//!   `StdRng`: the information bits on the engine thread, in carrier
+//!   order, then the ADC noise, drawn from the same generator by one job
+//!   into the frame's own composite buffer;
 //! * each Tx lane synthesizes its burst into a **lane-private** buffer;
-//!   the engine sums those buffers into the composite serially in carrier
-//!   order, so the float additions happen in exactly the serial order no
-//!   matter which worker finished first;
+//!   the engine sums those buffers serially in carrier order and adds
+//!   the sum to the noise, so the float additions happen in exactly the
+//!   serial order no matter which worker finished first;
 //! * lanes are bound to workers in fixed carrier-order chunks (the same
 //!   `ceil(lanes / workers)` chunking for every run), each worker owns
 //!   its lanes' state outright, and job/result buffers ping-pong by lane
@@ -47,12 +48,11 @@
 
 use crate::chain::{CarrierOutcome, ChainConfig, ChainReport};
 use crate::switch::{BasebandPacket, PacketSwitch};
-use gsp_channel::awgn::AwgnChannel;
+use gsp_channel::awgn::{AwgnChannel, GaussianSampler};
 use gsp_coding::{kernels as trellis_kernels, ConvCode, ConvEncoder, Crc, CrcKind, ViterbiDecoder};
 use gsp_dsp::channelizer::PolyphaseChannelizer;
 use gsp_dsp::kernels as cpx_kernels;
-use gsp_dsp::nco::Nco;
-use gsp_dsp::resample::RationalResampler;
+use gsp_dsp::resample::Upconverter;
 use gsp_dsp::Cpx;
 use gsp_modem::framing::BurstFormat;
 use gsp_modem::tdma::{TdmaBurstDemodulator, TdmaBurstModulator, TdmaConfig, TdmaDemodResult};
@@ -89,14 +89,14 @@ pub struct PipelineStats {
     pub packets_dropped_overflow: u64,
     /// Packets the switch dropped for want of a route.
     pub packets_dropped_no_route: u64,
-    /// Nanoseconds in the *serial* Tx residue: information-bit drawing,
-    /// carrier summation into the composite and ADC noise. (Per-lane
-    /// burst synthesis moved to the pool — see
-    /// [`PipelineStats::tx_synth_ns`].)
+    /// Nanoseconds in the *serial* Tx residue: information-bit drawing
+    /// and carrier summation into the composite. (Burst synthesis and ADC
+    /// noise run as pool jobs — see [`PipelineStats::tx_synth_ns`].)
     pub tx_ns: u64,
-    /// Nanoseconds in per-lane burst synthesis (CRC attach, conv encode,
-    /// modulate, upsample, mix), summed across lanes — CPU time, not wall
-    /// time, when workers > 1.
+    /// Nanoseconds of stimulus: per-lane burst synthesis (CRC attach,
+    /// conv encode, modulate, upconvert onto the carrier) plus drawing the
+    /// frame's ADC noise, summed across jobs — CPU time, not wall time,
+    /// when workers > 1.
     pub tx_synth_ns: u64,
     /// Nanoseconds in the polyphase DEMUX.
     pub demux_ns: u64,
@@ -195,8 +195,8 @@ impl LaneIo {
 struct TxLane {
     encoder: ConvEncoder,
     crc: Crc,
-    resampler: RationalResampler,
-    carrier_step: f64,
+    /// ×M upsampler and mixer onto this lane's carrier.
+    upconverter: Upconverter,
     modulator: TdmaBurstModulator,
     /// Tx scratch: info bits with the CRC attached.
     protected: Vec<u8>,
@@ -210,7 +210,7 @@ struct TxLane {
 
 impl TxLane {
     /// Synthesizes the lane's burst from `io.info`: CRC → conv encode →
-    /// modulate → upsample ×M → mix onto the carrier centre, into
+    /// modulate → upconvert ×M onto the carrier centre, into
     /// `io.upsampled`. Touches only lane-local state and `io`, so it is
     /// safe on any worker; the engine later sums the per-lane buffers in
     /// carrier order, reproducing the serial accumulation bit for bit.
@@ -220,15 +220,10 @@ impl TxLane {
         self.modulator
             .modulate_into(&self.coded, &mut self.syms, &mut self.wave);
 
-        self.resampler.reset();
+        self.upconverter.reset();
         io.upsampled.clear();
-        for i in 0..self.wave.len() {
-            let s = self.wave[i];
-            self.resampler.push(s, &mut io.upsampled);
-        }
-        let mut nco = Nco::from_step(self.carrier_step);
-        for s in io.upsampled.iter_mut() {
-            *s = nco.mix(*s);
+        for &s in &self.wave {
+            self.upconverter.push(s, &mut io.upsampled);
         }
     }
 }
@@ -334,6 +329,60 @@ impl RxLane {
     }
 }
 
+/// A frame's FDM composite at ADC rate. On a noisy channel phase A fills
+/// it with the frame's ADC noise and phase B adds the carrier sum to it;
+/// a noiseless frame holds the carrier sum alone.
+struct Composite {
+    samples: Vec<Cpx>,
+    /// Nanoseconds spent drawing this frame's noise (stimulus time).
+    noise_ns: u64,
+}
+
+impl Composite {
+    /// Fills the buffer with `len` complex Gaussian samples of
+    /// per-component deviation `sigma`: the draws an [`AwgnChannel`]
+    /// would add sample by sample, taken from the frame RNG after the
+    /// information bits.
+    fn draw_noise(&mut self, rng: &mut StdRng, sigma: f64, len: usize) {
+        let t0 = Instant::now();
+        let mut gauss = GaussianSampler::new();
+        self.samples.clear();
+        self.samples
+            .extend((0..len).map(|_| gauss.next_complex(rng, sigma)));
+        self.noise_ns = t0.elapsed().as_nanos() as u64;
+    }
+}
+
+/// Adds the lanes' bursts, each starting `guard` samples into the frame,
+/// in carrier order, and writes the sum `s` into `composite` — as `s + n`
+/// onto the noise `n` it holds when `noisy` (the add [`AwgnChannel::push`]
+/// makes), as `s` alone otherwise. The sum runs a stack chunk at a time,
+/// so it needs no frame-sized buffer of its own.
+fn fold_carriers(ios: &[Option<Box<LaneIo>>], guard: usize, composite: &mut [Cpx], noisy: bool) {
+    const CHUNK: usize = 256;
+    let mut sum = [Cpx::ZERO; CHUNK];
+    for (c, out) in composite.chunks_mut(CHUNK).enumerate() {
+        let start = c * CHUNK;
+        let sum = &mut sum[..out.len()];
+        sum.fill(Cpx::ZERO);
+        for io in ios {
+            let burst = &io.as_ref().expect("tx collected").upsampled;
+            let lo = start.max(guard);
+            let hi = (start + out.len()).min(guard + burst.len());
+            for i in lo..hi {
+                sum[i - start] += burst[i - guard];
+            }
+        }
+        if noisy {
+            for (o, s) in out.iter_mut().zip(sum.iter()) {
+                *o = *s + *o;
+            }
+        } else {
+            out.copy_from_slice(sum);
+        }
+    }
+}
+
 /// A unit of work for a pool worker. Lane jobs carry the frame slot they
 /// belong to, so results of different in-flight frames cannot be
 /// confused; control messages ride the same FIFO queues and therefore
@@ -351,6 +400,15 @@ enum Job {
         lane: usize,
         io: Box<LaneIo>,
     },
+    /// Draw the ADC noise of the frame in `slot` into its composite,
+    /// continuing the frame's RNG where bit drawing left it.
+    Noise {
+        slot: usize,
+        rng: StdRng,
+        sigma: f64,
+        len: usize,
+        composite: Composite,
+    },
     /// Register the worker's demodulators on a telemetry registry.
     Telemetry(Registry),
     /// Impose (or clear) a fault on one lane.
@@ -360,12 +418,28 @@ enum Job {
     },
 }
 
-/// A finished lane job on its way back to the engine.
+/// A finished job on its way back to the engine. `rx` is false for the
+/// frame's stimulus: lane synthesis and the noise draw.
 struct Done {
     slot: usize,
-    lane: usize,
     rx: bool,
-    io: Box<LaneIo>,
+    work: Finished,
+}
+
+/// What a finished job hands back.
+enum Finished {
+    Lane { lane: usize, io: Box<LaneIo> },
+    Noise(Composite),
+}
+
+impl Finished {
+    /// Puts the returned buffers back into the frame slot.
+    fn restore(self, sl: &mut FrameSlot) {
+        match self {
+            Finished::Lane { lane, io } => sl.ios[lane] = Some(io),
+            Finished::Noise(composite) => sl.composite = Some(composite),
+        }
+    }
 }
 
 fn worker_loop(
@@ -375,43 +449,52 @@ fn worker_loop(
     done: Sender<Done>,
 ) {
     while let Ok(job) = jobs.recv() {
-        match job {
+        let finished = match job {
             Job::Tx { slot, lane, mut io } => {
                 let t0 = Instant::now();
                 lanes[lane - base].0.synth(&mut io);
                 io.tx_ns = t0.elapsed().as_nanos() as u64;
-                if done
-                    .send(Done {
-                        slot,
-                        lane,
-                        rx: false,
-                        io,
-                    })
-                    .is_err()
-                {
-                    return;
+                Done {
+                    slot,
+                    rx: false,
+                    work: Finished::Lane { lane, io },
                 }
             }
             Job::Rx { slot, lane, mut io } => {
                 lanes[lane - base].1.receive(&mut io);
-                if done
-                    .send(Done {
-                        slot,
-                        lane,
-                        rx: true,
-                        io,
-                    })
-                    .is_err()
-                {
-                    return;
+                Done {
+                    slot,
+                    rx: true,
+                    work: Finished::Lane { lane, io },
+                }
+            }
+            Job::Noise {
+                slot,
+                mut rng,
+                sigma,
+                len,
+                mut composite,
+            } => {
+                composite.draw_noise(&mut rng, sigma, len);
+                Done {
+                    slot,
+                    rx: false,
+                    work: Finished::Noise(composite),
                 }
             }
             Job::Telemetry(registry) => {
                 for (_, rx) in &mut lanes {
                     rx.demod.set_telemetry(&registry);
                 }
+                continue;
             }
-            Job::Fault { lane, fault } => lanes[lane - base].1.fault = fault,
+            Job::Fault { lane, fault } => {
+                lanes[lane - base].1.fault = fault;
+                continue;
+            }
+        };
+        if done.send(finished).is_err() {
+            return;
         }
     }
 }
@@ -447,9 +530,9 @@ impl WorkerPool {
         for w in 0..spawned {
             let my: Vec<_> = iter.by_ref().take(chunk).collect();
             // Worst case in flight per worker: one frame's Tx plus one
-            // frame's Rx for its chunk, plus a couple of control messages
-            // between batches.
-            let (job_tx, job_rx) = mpsc::sync_channel(2 * chunk + 4);
+            // frame's Rx for its chunk, a noise job, plus a couple of
+            // control messages between batches.
+            let (job_tx, job_rx) = mpsc::sync_channel(2 * chunk + 5);
             let done = done_tx.clone();
             let base = w * chunk;
             handles.push(
@@ -476,6 +559,16 @@ impl WorkerPool {
             .expect("payload worker alive");
     }
 
+    /// Sends a frame's noise job to the last worker, whose lane chunk is
+    /// never larger than the others'.
+    fn dispatch_noise(&self, job: Job) {
+        self.job_txs
+            .last()
+            .expect("pool has workers")
+            .send(job)
+            .expect("payload worker alive");
+    }
+
     /// Sends a control message to every worker.
     fn broadcast(&self, make: impl Fn() -> Job) {
         for tx in &self.job_txs {
@@ -484,20 +577,13 @@ impl WorkerPool {
     }
 
     /// Collects `need` results of the given (slot, kind), restoring each
-    /// `LaneIo` to its place in `ios`. Results belonging to other
-    /// in-flight frames are parked in `pending`.
-    fn collect(
-        &mut self,
-        slot: usize,
-        want_rx: bool,
-        mut need: usize,
-        ios: &mut [Option<Box<LaneIo>>],
-    ) {
+    /// buffer to its place in `sl`. Results belonging to other in-flight
+    /// frames are parked in `pending`.
+    fn collect(&mut self, slot: usize, want_rx: bool, mut need: usize, sl: &mut FrameSlot) {
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].slot == slot && self.pending[i].rx == want_rx {
-                let d = self.pending.swap_remove(i);
-                ios[d.lane] = Some(d.io);
+                self.pending.swap_remove(i).work.restore(sl);
                 need -= 1;
             } else {
                 i += 1;
@@ -509,7 +595,7 @@ impl WorkerPool {
                 .recv_timeout(COLLECT_TIMEOUT)
                 .expect("payload worker died or wedged");
             if d.slot == slot && d.rx == want_rx {
-                ios[d.lane] = Some(d.io);
+                d.work.restore(sl);
                 need -= 1;
             } else {
                 self.pending.push(d);
@@ -542,12 +628,11 @@ enum Backend {
 struct FrameSlot {
     /// One I/O buffer per lane; `None` while the lane's job is in flight.
     ios: Vec<Option<Box<LaneIo>>>,
-    /// The frame's RNG, carried from bit drawing (phase A) to ADC noise
-    /// (phase B) so the draw sequence matches the historical serial code.
-    rng: Option<StdRng>,
+    /// The frame's composite; `None` while its noise job is in flight.
+    composite: Option<Composite>,
     /// Frame wall-clock start (phase A entry).
     started: Option<Instant>,
-    /// Serial Tx nanoseconds so far (bit draw + summation + noise).
+    /// Serial Tx nanoseconds so far (bit draw + summation).
     tx_serial_ns: u64,
     demux_ns: u64,
     /// Channel blocks the DEMUX produced.
@@ -571,10 +656,11 @@ struct EngineTelemetry {
     /// `payload.frame.ns` — whole-frame wall time (dispatch to retire; in
     /// a pipelined batch this overlaps neighbouring frames).
     frame_ns: Histogram,
-    /// `payload.tx.ns` — serial Tx residue (bit draw + sum + noise), per
+    /// `payload.tx.ns` — serial Tx residue (bit draw + carrier sum), per
     /// frame.
     tx_ns: Histogram,
-    /// `payload.tx.synth.ns` — per-lane burst synthesis.
+    /// `payload.tx.synth.ns` — stimulus: per-lane burst synthesis, plus
+    /// one observation per noisy frame for the noise draw.
     tx_synth_ns: Histogram,
     /// `payload.demux.ns` — polyphase channelizer stage, per frame.
     demux_ns: Histogram,
@@ -609,12 +695,14 @@ pub struct PipelineEngine {
     workers: usize,
     n_lanes: usize,
     backend: Backend,
-    /// Samples per modulated burst (fixed by the burst format).
-    burst_len: usize,
+    /// Composite samples per frame: the bursts at ADC rate between two
+    /// guard intervals (fixed by the burst format).
+    composite_len: usize,
+    /// Per-component deviation of the composite's ADC noise; `None` on a
+    /// noiseless channel.
+    noise_sigma: Option<f64>,
     channelizer: PolyphaseChannelizer,
     stats: PipelineStats,
-    /// Per-frame scratch: the FDM composite at ADC rate.
-    composite: Vec<Cpx>,
     /// Per-frame scratch: the channelizer's one-block output vector.
     demux_frame: Vec<Cpx>,
     /// In-flight frame slots (only slot 0 is used outside pipelined
@@ -679,8 +767,10 @@ impl PipelineEngine {
                     TxLane {
                         encoder: ConvEncoder::new(code.clone()),
                         crc: Crc::new(CrcKind::Crc16),
-                        resampler: RationalResampler::new(1.0, m as f64),
-                        carrier_step: std::f64::consts::TAU * k as f64 / m as f64,
+                        upconverter: Upconverter::new(
+                            m,
+                            std::f64::consts::TAU * k as f64 / m as f64,
+                        ),
                         modulator: modulator.clone(),
                         protected: Vec::new(),
                         coded: Vec::new(),
@@ -722,11 +812,17 @@ impl PipelineEngine {
 
         let workers = workers.min(n.max(1));
         let slots = (0..SLOTS)
-            .map(|_| FrameSlot {
+            .map(|i| FrameSlot {
                 ios: (0..n)
                     .map(|_| Some(LaneIo::with_capacity(cfg.info_bits, upsampled_len, blocks)))
                     .collect(),
-                rng: None,
+                // Slot 0 runs every frame and is sized here; the other
+                // slots only run in pipelined batches and size on first
+                // use.
+                composite: Some(Composite {
+                    samples: Vec::with_capacity(if i == 0 { composite_len } else { 0 }),
+                    noise_ns: 0,
+                }),
                 started: None,
                 tx_serial_ns: 0,
                 demux_ns: 0,
@@ -740,15 +836,23 @@ impl PipelineEngine {
         } else {
             Backend::Pool(WorkerPool::spawn(lanes, workers))
         };
+        // Per-carrier Es/N0 calibration: the channelizer passes an
+        // on-centre carrier with unit gain while keeping only the
+        // channel's share of the composite noise (measured noise
+        // bandwidth ≈ 1.1/m of the prototype), so composite noise is
+        // 1.1·m times the per-channel target.
+        let noise_sigma = cfg
+            .esn0_db
+            .map(|db| AwgnChannel::from_esn0_db(db - 10.0 * (1.1 * m as f64).log10()).sigma());
 
         PipelineEngine {
             workers,
             n_lanes: n,
             backend,
-            burst_len,
+            composite_len,
+            noise_sigma,
             channelizer: PolyphaseChannelizer::with_kernels(m, 12, cpx_k),
             stats: PipelineStats::default(),
-            composite: Vec::with_capacity(composite_len),
             demux_frame: vec![Cpx::ZERO; m],
             slots,
             switch: PacketSwitch::new(cfg.beams, cfg.switch_queue_limit),
@@ -914,10 +1018,12 @@ impl PipelineEngine {
     }
 
     /// Phase A of a frame: draw every lane's information bits (serially,
-    /// in carrier order, on the frame's own RNG) and hand the lanes their
-    /// Tx synthesis work. In a pipelined batch this runs for frame `i+1`
-    /// *before* frame `i`'s Rx jobs are dispatched, so workers pick Tx
-    /// work up the moment they drain the previous frame.
+    /// in carrier order, on the frame's own RNG) and hand out the frame's
+    /// stimulus work: each lane's Tx synthesis and, on a noisy channel,
+    /// the ADC noise, drawn from the same RNG into the slot's composite.
+    /// In a pipelined batch this runs for frame `i+1` *before* frame `i`'s
+    /// Rx jobs are dispatched, so workers pick Tx work up the moment they
+    /// drain the previous frame.
     fn phase_a(&mut self, slot: usize, seed: u64) {
         let n = self.n_lanes;
         let info_bits = self.cfg.info_bits;
@@ -934,67 +1040,66 @@ impl PipelineEngine {
                     .extend((0..info_bits).map(|_| rng.gen_range(0..2u8)));
             }
             sl.tx_serial_ns = t0.elapsed().as_nanos() as u64;
-            sl.rng = Some(rng);
         }
+        let len = self.composite_len;
+        let sl = &mut self.slots[slot];
         match &mut self.backend {
             Backend::Serial(lanes) => {
-                let sl = &mut self.slots[slot];
                 for (k, (tx, _)) in lanes.iter_mut().enumerate().take(n) {
                     let io = sl.ios[k].as_mut().expect("frame slot busy");
                     let t0 = Instant::now();
                     tx.synth(io);
                     io.tx_ns = t0.elapsed().as_nanos() as u64;
                 }
+                if let Some(sigma) = self.noise_sigma {
+                    let composite = sl.composite.as_mut().expect("frame slot busy");
+                    composite.draw_noise(&mut rng, sigma, len);
+                }
             }
             Backend::Pool(pool) => {
-                let sl = &mut self.slots[slot];
                 for (k, io) in sl.ios[..n].iter_mut().enumerate() {
                     let io = io.take().expect("frame slot busy");
                     pool.dispatch(k, Job::Tx { slot, lane: k, io });
+                }
+                if let Some(sigma) = self.noise_sigma {
+                    let composite = sl.composite.take().expect("frame slot busy");
+                    pool.dispatch_noise(Job::Noise {
+                        slot,
+                        rng,
+                        sigma,
+                        len,
+                        composite,
+                    });
                 }
             }
         }
     }
 
-    /// Phase B of a frame: collect the synthesized bursts, sum them into
-    /// the composite in carrier order (bitwise identical to the old
-    /// serial accumulation), apply ADC noise on the frame's RNG, run the
-    /// polyphase DEMUX straight into each lane's sample buffer, and
-    /// dispatch the receive jobs.
+    /// Phase B of a frame: collect the stimulus, add the synthesized
+    /// bursts in carrier order onto the frame's noise (bitwise identical
+    /// to summing them and then passing the sum through an
+    /// [`AwgnChannel`]), run the polyphase DEMUX straight into each lane's
+    /// sample buffer, and dispatch the receive jobs.
     fn phase_b(&mut self, slot: usize) {
         let n = self.n_lanes;
         let m = self.cfg.channels;
         let guard = 64 * m;
-        let composite_len = self.burst_len * m + 2 * guard;
+        let composite_len = self.composite_len;
+        let noisy = self.noise_sigma.is_some();
         if let Backend::Pool(pool) = &mut self.backend {
-            pool.collect(slot, false, n, &mut self.slots[slot].ios);
+            let need = n + usize::from(noisy);
+            pool.collect(slot, false, need, &mut self.slots[slot]);
         }
 
-        // ---- Serial Tx residue: carrier summation + ADC noise.
+        // ---- Serial Tx residue: carrier summation.
         let t_tx = Instant::now();
         {
             let sl = &mut self.slots[slot];
-            self.composite.clear();
-            self.composite.resize(composite_len, Cpx::ZERO);
-            for io in sl.ios[..n].iter() {
-                let io = io.as_ref().expect("tx collected");
-                for (i, s) in io.upsampled.iter().enumerate() {
-                    if guard + i < composite_len {
-                        self.composite[guard + i] += *s;
-                    }
-                }
+            let composite = &mut sl.composite.as_mut().expect("noise collected").samples;
+            if !noisy {
+                composite.resize(composite_len, Cpx::ZERO);
             }
-            let rng = sl.rng.take();
-            if let Some(db) = self.cfg.esn0_db {
-                // Per-carrier Es/N0 calibration: the channelizer passes an
-                // on-centre carrier with unit gain while keeping only the
-                // channel's share of the composite noise (measured noise
-                // bandwidth ≈ 1.1/m of the prototype), so composite noise
-                // is 1.1·m times the per-channel target.
-                let mut rng = rng.expect("phase A seeded the frame RNG");
-                let mut ch = AwgnChannel::from_esn0_db(db - 10.0 * (1.1 * m as f64).log10());
-                ch.apply(&mut self.composite, &mut rng);
-            }
+            fold_carriers(&sl.ios[..n], guard, composite, noisy);
             sl.tx_serial_ns += t_tx.elapsed().as_nanos() as u64;
         }
 
@@ -1012,7 +1117,8 @@ impl PipelineEngine {
                 samples.resize(blocks, Cpx::ZERO);
             }
             let mut produced = 0usize;
-            for &x in &self.composite {
+            let composite = &sl.composite.as_ref().expect("noise collected").samples;
+            for &x in composite {
                 if self.channelizer.push(x, &mut self.demux_frame) {
                     if produced < blocks {
                         for (k, io) in sl.ios[..n].iter_mut().enumerate() {
@@ -1067,7 +1173,7 @@ impl PipelineEngine {
     fn phase_c(&mut self, slot: usize, tick: u64, report: &mut ChainReport) {
         let n = self.n_lanes;
         if let Backend::Pool(pool) = &mut self.backend {
-            pool.collect(slot, true, n, &mut self.slots[slot].ios);
+            pool.collect(slot, true, n, &mut self.slots[slot]);
         }
 
         let t_switch = Instant::now();
@@ -1111,6 +1217,16 @@ impl PipelineEngine {
             }
         }
         let switch_ns = t_switch.elapsed().as_nanos() as u64;
+        if self.noise_sigma.is_some() {
+            let noise_ns = self.slots[slot]
+                .composite
+                .as_ref()
+                .expect("noise collected")
+                .noise_ns;
+            self.stats.tx_synth_ns += noise_ns;
+            self.tel.tx_synth_ns.record(noise_ns);
+            busy += noise_ns;
+        }
         self.busy_ns += busy;
         self.stats.switch_ns += switch_ns;
         self.tel.switch_ns.record(switch_ns);

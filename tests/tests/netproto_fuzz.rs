@@ -24,9 +24,12 @@ use bytes::Bytes;
 use gsp_fdir::recovery::ReconfigUplink;
 use gsp_netproto::cops::{CopsPdp, CopsPep, PolicyDecision, COPS_PORT};
 use gsp_netproto::frames::{Frame, MAX_FRAME_PAYLOAD};
-use gsp_netproto::ip::{udp_packet, IpPacket, UdpDatagram, ADDR_NCC, ADDR_OBPC};
+use gsp_netproto::ip::{
+    udp_packet, IpPacket, IpProto, UdpDatagram, ADDR_NCC, ADDR_OBPC, MAX_IP_PAYLOAD,
+    MAX_UDP_PACKET_PAYLOAD, MAX_UDP_PAYLOAD,
+};
 use gsp_netproto::scpsfp::{ScpsFpReceiver, ScpsFpSender, SCPS_PORT};
-use gsp_netproto::tcp::Segment;
+use gsp_netproto::tcp::{Segment, MAX_SEGMENT_PAYLOAD};
 use gsp_netproto::tftp::{TftpServer, TftpWriter, TFTP_PORT};
 use gsp_netproto::{Agent, BackoffPolicy, ContactSchedule, ContactWindow, Io, LinkConfig, Sim};
 use proptest::prelude::*;
@@ -66,6 +69,51 @@ proptest! {
                     prop_assert_eq!(Frame::decode(&raw), Some(frame));
                 }
                 None => prop_assert!(len > MAX_FRAME_PAYLOAD, "{} bytes refused", len),
+            }
+        }
+    }
+
+    /// The IP, UDP and TCP encoders round-trip every payload their
+    /// 16-bit length fields can describe and refuse anything longer,
+    /// instead of writing a truncated length their own decoders reject.
+    /// Every case checks both sides of each limit and one random length.
+    #[test]
+    fn ip_udp_tcp_encoders_roundtrip_up_to_their_length_limits(
+        len in 0usize..2048,
+        fill in any::<u8>(),
+    ) {
+        let bytes = |len: usize| -> Bytes {
+            Bytes::from((0..len).map(|i| fill.wrapping_add(i as u8)).collect::<Vec<u8>>())
+        };
+        for len in [len, MAX_IP_PAYLOAD, MAX_IP_PAYLOAD + 1] {
+            let pkt = IpPacket { src: ADDR_NCC, dst: ADDR_OBPC, proto: IpProto::Esp, payload: bytes(len) };
+            match pkt.encode() {
+                Some(raw) => prop_assert_eq!(IpPacket::decode(&raw), Some(pkt)),
+                None => prop_assert!(len > MAX_IP_PAYLOAD, "{} IP payload bytes refused", len),
+            }
+        }
+        for len in [len, MAX_UDP_PAYLOAD, MAX_UDP_PAYLOAD + 1] {
+            let dgram = UdpDatagram { src_port: 5, dst_port: 6, payload: bytes(len) };
+            match dgram.encode() {
+                Some(raw) => prop_assert_eq!(UdpDatagram::decode(&raw), Some(dgram)),
+                None => prop_assert!(len > MAX_UDP_PAYLOAD, "{} UDP payload bytes refused", len),
+            }
+        }
+        for len in [len, MAX_UDP_PACKET_PAYLOAD, MAX_UDP_PACKET_PAYLOAD + 1] {
+            match udp_packet(ADDR_NCC, ADDR_OBPC, 5, 6, bytes(len)) {
+                Some(raw) => {
+                    let ip = IpPacket::decode(&raw).expect("udp_packet output decodes");
+                    let udp = UdpDatagram::decode(&ip.payload).expect("inner datagram decodes");
+                    prop_assert_eq!(udp.payload, bytes(len));
+                }
+                None => prop_assert!(len > MAX_UDP_PACKET_PAYLOAD, "{} bytes refused", len),
+            }
+        }
+        for len in [len, MAX_SEGMENT_PAYLOAD, MAX_SEGMENT_PAYLOAD + 1] {
+            let seg = Segment { src_port: 1, dst_port: 2, seq: 3, ack: 4, flags: 2, payload: bytes(len) };
+            match seg.encode() {
+                Some(raw) => prop_assert_eq!(Segment::decode(&raw), Some(seg)),
+                None => prop_assert!(len > MAX_SEGMENT_PAYLOAD, "{} TCP payload bytes refused", len),
             }
         }
     }
@@ -121,11 +169,11 @@ proptest! {
             flags: 1,
             payload: Bytes::from(payload.clone()),
         };
-        let enc = seg.encode();
+        let enc = seg.encode().unwrap();
         prop_assert_eq!(Segment::decode(&enc).as_ref(), Some(&seg));
         prop_assert_eq!(Segment::decode(&enc[..cut % enc.len()]), None);
 
-        let pkt = udp_packet(ADDR_NCC, ADDR_OBPC, 5, 6, Bytes::from(payload));
+        let pkt = udp_packet(ADDR_NCC, ADDR_OBPC, 5, 6, Bytes::from(payload)).unwrap();
         prop_assert!(IpPacket::decode(&pkt).is_some());
         prop_assert_eq!(IpPacket::decode(&pkt[..cut % pkt.len()]), None);
     }
@@ -160,13 +208,16 @@ impl Blaster {
             // The same bytes as a UDP payload to each protocol port:
             // exercises the opcode parsers behind the header checks.
             for port in [TFTP_PORT, SCPS_PORT, COPS_PORT] {
-                io.send(udp_packet(
-                    ADDR_NCC ^ 0xFF,
-                    self.target,
-                    port,
-                    port,
-                    Bytes::from(v.clone()),
-                ));
+                io.send(
+                    udp_packet(
+                        ADDR_NCC ^ 0xFF,
+                        self.target,
+                        port,
+                        port,
+                        Bytes::from(v.clone()),
+                    )
+                    .expect("volleys are under 64 bytes"),
+                );
             }
         }
     }

@@ -2,6 +2,7 @@
 //! equivalence across configurations, and throughput scaling of the
 //! per-carrier receive fan-out where the hardware can show it.
 
+use gsp_dsp::kernels::{simd_available, Backend};
 use gsp_modem::tdma::TimingRecoveryKind;
 use gsp_payload::chain::{run_mf_tdma_frame, ChainConfig};
 use gsp_payload::pipeline::{run_frames, PipelineEngine};
@@ -47,6 +48,54 @@ fn parallel_engine_is_bitwise_identical_to_serial() {
                 let b = parallel.run_frame(seed);
                 assert_eq!(a, b, "cfg {cfg:?} workers {workers} seed {seed}");
             }
+        }
+    }
+}
+
+/// The bursts that did not come through clean at 2.5 dB Es/N0, frames
+/// seeded `0..32`, as `(seed, carrier, detected, crc_ok, bit_errors)`;
+/// every other burst decodes with no bit errors. Captured, identically on
+/// both kernel backends, from the per-sample Farrow-resampler/NCO
+/// synthesis, the shifting-delay-line DEMUX and noise drawn on the engine
+/// thread; failing bursts carry real bit errors, so drift in the samples
+/// the chain computes shows up here.
+const FAILING_AT_2_5_DB: [(u64, usize, bool, bool, usize); 8] = [
+    (2, 2, true, false, 9),
+    (6, 0, true, false, 7),
+    (8, 2, true, false, 6),
+    (10, 3, true, false, 13),
+    (16, 5, true, false, 4),
+    (18, 4, true, false, 33),
+    (21, 0, true, false, 24),
+    (30, 0, true, false, 5),
+];
+
+#[test]
+fn fig2_outcomes_match_the_pinned_values_where_bursts_fail() {
+    let mut backends = vec![Backend::Scalar];
+    if simd_available() {
+        backends.push(Backend::Simd);
+    }
+    for backend in backends {
+        let cfg = ChainConfig {
+            esn0_db: Some(2.5),
+            kernel_backend: Some(backend),
+            ..ChainConfig::default()
+        };
+        for workers in [1usize, 3] {
+            let mut engine = PipelineEngine::with_workers(cfg.clone(), workers);
+            let mut failing = Vec::new();
+            for seed in 0..32u64 {
+                for c in engine.run_frame(seed).carriers {
+                    if !(c.detected && c.crc_ok && c.bit_errors == 0) {
+                        failing.push((seed, c.carrier, c.detected, c.crc_ok, c.bit_errors));
+                    }
+                }
+            }
+            assert_eq!(
+                failing, FAILING_AT_2_5_DB,
+                "{backend:?} backend, workers {workers}"
+            );
         }
     }
 }

@@ -105,9 +105,10 @@ proptest! {
                 dst_port: dport,
                 payload: bytes::Bytes::from(payload.clone()),
             }
-            .encode(),
+            .encode()
+            .unwrap(),
         };
-        let raw = pkt.encode();
+        let raw = pkt.encode().unwrap();
         let ip = IpPacket::decode(&raw).unwrap();
         let udp = UdpDatagram::decode(&ip.payload).unwrap();
         prop_assert_eq!(&udp.payload[..], &payload[..]);
@@ -129,7 +130,7 @@ proptest! {
             flags,
             payload: bytes::Bytes::from(payload),
         };
-        prop_assert_eq!(Segment::decode(&seg.encode()), Some(seg));
+        prop_assert_eq!(Segment::decode(&seg.encode().unwrap()), Some(seg));
     }
 
     #[test]
